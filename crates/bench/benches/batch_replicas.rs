@@ -5,13 +5,11 @@
 //!
 //! Both modes produce bit-identical trajectories (enforced by
 //! `tests/batch_determinism.rs`), so this measures pure scheduling/fusion
-//! throughput, not an accuracy trade. Since the solo engine gained the same
-//! type-sorted embedding GEMMs, fused activations, and native SIMD dispatch
-//! the batch path uses, the batched margin is *cross-replica* fusion only:
-//! stacked fitting-net rows and the reused [`BatchWorkspace`] killing
-//! per-round allocator churn. The tiny serving model is now near parity
-//! (gated as a no-regression bar); the production-sized fitting nets (240³)
-//! still amortize GEMM setup across replicas and keep a real margin.
+//! throughput, not an accuracy trade. A sequential step is a batch of one
+//! through the same evaluator (`DpEngine::energy_forces_batched`: the same
+//! block-parallel stacked passes, buffers and kernels), so the batched
+//! margin is *cross-replica* stacking only: taller GEMM panels per block
+//! and one set of pool barriers per round instead of one per replica-step.
 //!
 //! Measurement is interleaved best-of-N because CI hosts are noisy: each
 //! rep rebuilds both schedulers from identical [`EngineParts`] and times a
@@ -70,8 +68,9 @@ fn parts(cfg: &Config) -> dpmd_core::EngineParts {
 
 fn main() {
     let configs = [
-        // Serving-sized Cu model: the solo engine's own fusion closed the
-        // gap here, so this row gates "batching never costs throughput".
+        // Serving-sized Cu model: a sequential step runs the same evaluator
+        // as a batch of one, so this row gates "batching never costs
+        // throughput".
         Config {
             name: "cu_serving",
             model: DeepPotConfig::tiny(1, 6.0),

@@ -1,40 +1,44 @@
-//! Batched multi-replica inference (the serving path).
+//! The Mix32/Mix16 force evaluator, batched over independent systems.
 //!
 //! [`DpEngine::energy_forces_batched`] evaluates R independent systems
-//! ("jobs" — one per replica of the batch scheduler in `dpmd-serve`) through
-//! one engine, fusing work that the solo path pays per call:
+//! ("jobs" — the replicas and tenants of `dpmd-serve`, or the single system
+//! of a solo [`DpEngine::energy_forces`] call, which is a batch of one)
+//! through one engine. The local atoms of all jobs form one flat
+//! (job, atom) index, cut into blocks by [`dpmd_threads::atom_chunks`] of
+//! the total atom count; the blocks run on the engine's pool:
 //!
-//! * the **embedding pass** stacks every (job, atom, neighbour) entry of the
-//!   same neighbour species into one matrix and runs each layer's value and
-//!   tangent matvecs as [`nnet::gemm`] batched calls, with one fused
-//!   transcendental per activation ([`nnet::activation::Activation::value_grad_f32`]) instead
-//!   of the solo path's two;
-//! * the **fitting pass** stacks every (job, atom) descriptor row of the same
-//!   central species into one matrix and runs each layer (forward and
-//!   backward) as a single [`nnet::gemm`] batched call — the paper's
-//!   type-sorted batching, applied across replicas.
+//! * the **embedding pass** stacks every (atom, neighbour) entry of a block
+//!   with the same neighbour species into one matrix and runs each layer's
+//!   value and tangent matvecs as stacked [`nnet::gemm`] calls, with one
+//!   fused transcendental per activation
+//!   ([`nnet::activation::Activation::value_grad_f32`]) — the paper's
+//!   "sort environment matrices by type so one GEMM serves all same-type
+//!   neighbours";
+//! * the **fitting pass** stacks every descriptor row of a block with the
+//!   same central species into one matrix and runs each layer (forward and
+//!   backward) as one stacked [`nnet::gemm`] call.
 //!
-//! The hard correctness bar is **bitwise determinism**: batching changes
-//! *when* GEMMs run, never *what* they compute. Three properties make that
-//! hold, each enforced by a test:
+//! The hard correctness bar is **bitwise determinism**: a job's energy,
+//! virial and forces depend on nothing but the job — not on its companions
+//! in the batch, the batch size, or the pool width. Three properties make
+//! that hold, each enforced by a test:
 //!
 //! 1. every NN kernel produces output rows that depend only on the matching
 //!    input row, folded ascending-k from a zero accumulator with one
-//!    rounding per add (`nnet::gemm` module notes) — so stacking rows
-//!    across replicas is invisible, and the solo path's *bias-seeded*
-//!    accumulation is reproduced exactly by augmenting each stacked row
-//!    with a leading 1 against `[bias ; W]` (`0 + 1·b` is `b`, bit for
-//!    bit, for every finite non-zero bias);
-//! 2. activations use [`nnet::activation::Activation::value_grad_f32`], whose contract is
-//!    bitwise equality with the solo path's separate `apply_f32` +
-//!    `derivative` calls;
+//!    rounding per add (`nnet::gemm` module notes) — so how rows are
+//!    stacked into blocks is invisible. The embedding's bias-seeded
+//!    accumulation is reproduced by augmenting each stacked row with a
+//!    leading 1 against `[bias ; W]` (`0 + 1·b` is `b`, bit for bit, for
+//!    every finite non-zero bias);
+//! 2. each block writes only its own atoms' and entries' outputs (disjoint
+//!    slices from `split_at_mut`), and the one order-sensitive f32 sum of
+//!    the embedding pass, the T matrix, replays per atom in entry order;
 //! 3. all order-dependent f64 accumulations (per-atom energy sums, force
-//!    scatter, virial) run per job in exactly the solo pass structure:
-//!    [`dpmd_threads::atom_chunks`] chunks merged in chunk order.
+//!    scatter, virial) run per job over [`dpmd_threads::atom_chunks`] of the
+//!    job's own atom count, merged in chunk order.
 //!
-//! `tests/batch_determinism.rs` checks the end-to-end consequence: replica
-//! trajectories bit-identical solo vs. batched at any batch size and thread
-//! count.
+//! `tests/batch_determinism.rs` checks the end-to-end consequence, and
+//! `tests/pinned_digests.rs` pins the bits of a solo trajectory.
 
 use dpmd_obs::clock::wall_now;
 
@@ -50,8 +54,8 @@ use nnet::layers::Resnet;
 use nnet::precision::Precision;
 use nnet::stats::PrecClass;
 
-use crate::descriptor::build_environments_on;
-use crate::engine::{AtomEmbed32, DpEngine, Fit32};
+use crate::descriptor::{build_environments_on, Environment};
+use crate::engine::{DpEngine, Fit32};
 
 /// One replica's force evaluation request: borrowed system state plus the
 /// (caller-zeroed) force buffer to accumulate into.
@@ -73,247 +77,462 @@ pub struct BatchJob<'a> {
 pub struct BatchEvalStats {
     /// Jobs evaluated.
     pub jobs: usize,
-    /// Batched GEMM calls issued by the fused embedding + fitting passes.
+    /// Stacked GEMM calls issued by the embedding + fitting passes.
     pub fused_gemms: u64,
     /// Total rows stacked into those calls (rows ÷ calls = mean occupancy).
     pub fused_rows: u64,
-    /// Jobs routed to the solo path (the `Double` reference path has no
-    /// f32 batching and falls back per job).
+    /// Jobs evaluated one by one on the f64 reference model (the `Double`
+    /// path has no stacked f32 form).
     pub solo_fallbacks: u64,
     /// Aggregate phase breakdown across the whole batch (per-replica wall
     /// time is not separable once the passes are fused).
     pub phases: ForcePhases,
 }
 
-/// Reusable buffers for [`DpEngine::energy_forces_batched_with`]. One
-/// workspace amortizes the multi-hundred-kilobyte stacked intermediates of
-/// the fused passes across scheduler rounds: without it, every round pays
-/// allocator round-trips — and, for the larger buffers, fresh `mmap` pages —
-/// for memory whose shape barely changes step to step.
-///
-/// Reuse is bitwise-invisible by construction: a pooled buffer is handed out
-/// zero-filled ([`take32`](Self)'s `clear` + `resize`), exactly like the
-/// `vec![0.0; n]` it replaces.
+/// Stacked embedding rows per GEMM: bounds a block's intermediates so they
+/// stay cache-sized (bitwise-invisible — every row is independent).
+const EMB_CHUNK: usize = 4096;
+
+/// The evaluator's buffers, owned by the engine and reused across calls so
+/// a steady-state step allocates nothing but its outputs. Every buffer is
+/// fully overwritten (or zeroed) before it is read, so reuse is
+/// bitwise-invisible.
 #[derive(Default)]
-pub struct BatchWorkspace {
-    pool32: Vec<Vec<f32>>,
-    pool64: Vec<Vec<f64>>,
-    pool16: Vec<Vec<F16>>,
-    embeds: Vec<Vec<AtomEmbed32>>,
-    locs: Vec<(u32, u32, u32)>,
-    row_of: Vec<(usize, usize)>,
+pub(crate) struct Workspace {
+    /// Environments of the flat (job, atom) index.
+    envs: Vec<Environment>,
+    /// Central species per flat atom.
+    species: Vec<usize>,
+    /// Flat entry index of each flat atom's first entry, plus the total.
+    entry_start: Vec<usize>,
+    /// Per entry: embedding value and `d/ds` rows (`m1` wide) and the f32
+    /// generalized coordinates.
+    g: Vec<f32>,
+    dg_ds: Vec<f32>,
+    coords: Vec<[f32; 4]>,
+    /// Per atom: the T matrix (`m1×4`), fitted energy and `∂E/∂D`
+    /// (`m1×m2`).
+    t: Vec<f32>,
+    efit: Vec<f32>,
+    de_dd: Vec<f32>,
+    /// One scratch per block of the embedding and fitting passes.
+    blocks: Vec<BlockScratch>,
+    /// One partial per chunk of the chain-rule pass.
+    chunks: Vec<ChunkOut>,
 }
 
-impl BatchWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn take32(&mut self, n: usize) -> Vec<f32> {
-        let mut v = self.pool32.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put32(&mut self, v: Vec<f32>) {
-        if v.capacity() > 0 {
-            self.pool32.push(v);
-        }
-    }
-
-    fn take64(&mut self, n: usize) -> Vec<f64> {
-        let mut v = self.pool64.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, 0.0);
-        v
-    }
-
-    fn put64(&mut self, v: Vec<f64>) {
-        if v.capacity() > 0 {
-            self.pool64.push(v);
-        }
-    }
-
-    fn take16(&mut self, n: usize) -> Vec<F16> {
-        let mut v = self.pool16.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, F16::from_f32(0.0));
-        v
-    }
-
-    fn put16(&mut self, v: Vec<F16>) {
-        if v.capacity() > 0 {
-            self.pool16.push(v);
-        }
-    }
+/// Stacking buffers of one block.
+#[derive(Default)]
+struct BlockScratch {
+    /// Block-local positions of the stacked rows (entries, then atoms).
+    rows: Vec<u32>,
+    /// Switching weights of the stacked embedding rows.
+    svals: Vec<f32>,
+    /// Augmented value and tangent rows (stride `width + 1`) and the next
+    /// layer's.
+    val: Vec<f32>,
+    tan: Vec<f32>,
+    val_next: Vec<f32>,
+    tan_next: Vec<f32>,
+    pre: Vec<f32>,
+    dpre: Vec<f32>,
+    /// Fitting tape: `xs[l]` is layer `l`'s input (`xs[0]` the stacked
+    /// descriptor rows), `dfac[l]` its activation-derivative factors.
+    xs: Vec<Vec<f32>>,
+    dfac: Vec<Vec<f64>>,
+    grad: Vec<f32>,
+    dx: Vec<f32>,
+    h16: Vec<F16>,
+    gemms: u64,
+    gemm_rows: u64,
 }
 
-/// Forward + backward of one fitting net over `rows` stacked descriptor
-/// rows. Row `r` of the outputs is bitwise what `Fit32::energy_and_grad`
-/// returns for row `r` alone: the batched GEMMs are row-independent and the
-/// bias/activation/resnet ops replay the solo order per row.
-fn fit_batched(
-    fit: &Fit32,
-    rows: usize,
-    d_stacked: Vec<f32>,
-    f16_first: bool,
+/// One chain-rule chunk's partial energy, virial and forces.
+#[derive(Default)]
+struct ChunkOut {
+    energy: f64,
+    virial: f64,
+    forces: Vec<Vec3>,
+    /// `∂E/∂T` scratch, reset per atom.
+    dt: Vec<f32>,
+}
+
+/// `v` resized to `n` zeros.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
+    v.clear();
+    v.resize(n, T::default());
+    v
+}
+
+/// Split the first `n` items off `rest`: hands each block its disjoint
+/// slice of a flat output.
+fn take_head<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    head
+}
+
+/// The embedding pass over one block of flat atoms: fills the block's
+/// per-entry `g`, `dg_ds` and `coords` and its per-atom T matrices.
+/// `entry_start` holds the block's atoms' first flat entries plus the end.
+#[allow(clippy::too_many_arguments)]
+fn embed_block(
     eng: &DpEngine,
-    stats: &mut BatchEvalStats,
-    ws: &mut BatchWorkspace,
-) -> (Vec<f32>, Vec<f32>) {
+    envs: &[Environment],
+    entry_start: &[usize],
+    g: &mut [f32],
+    dg_ds: &mut [f32],
+    coords: &mut [[f32; 4]],
+    t: &mut [f32],
+    s: &mut BlockScratch,
+) {
+    let m1 = eng.model.config.m1();
+    let inv_nm = 1.0f32 / eng.model.config.nmax as f32;
     let tally = eng.obs.as_ref().map(|o| &o.gemm);
-    let nl = fit.layers.len();
-    let mut xs: Vec<Vec<f32>> = Vec::with_capacity(nl + 1); // dpmd-allow D7: per-batch tape of stacked layer activations, amortized over all rows
-    xs.push(d_stacked);
-    // Per-layer activation-derivative factors, kept from the forward pass
-    // (`value_grad_f32` shares the transcendental) so the backward pass
-    // does none — bitwise equal to the solo path's recomputation.
-    let mut dfacs: Vec<Vec<f64>> = Vec::with_capacity(nl); // dpmd-allow D7: per-batch tape of activation-derivative factors, amortized over all rows
-    for (li, (w, _, b, act, resnet, ind, outd)) in fit.layers.iter().enumerate() {
-        let x = xs.last().unwrap();
-        let mut pre = ws.take32(rows * outd);
-        if li == 0 && f16_first {
-            let mut x16 = ws.take16(x.len());
-            for (d, &s) in x16.iter_mut().zip(x.iter()) {
-                *d = F16::from_f32(s);
+    let base = entry_start[0];
+    let BlockScratch { rows, svals, val, tan, val_next, tan_next, pre, dpre, gemms, gemm_rows, .. } = s;
+    for (ty, net) in eng.emb32.iter().enumerate() {
+        rows.clear();
+        svals.clear();
+        for (env, &first) in envs.iter().zip(entry_start) {
+            for (k, e) in env.entries.iter().enumerate() {
+                if e.typ as usize == ty {
+                    rows.push((first - base + k) as u32);
+                    svals.push(e.s as f32);
+                }
             }
-            gemm::batched_nn_f16(rows, 1, *outd, *ind, &x16, &fit.w16_first, &mut pre);
-            ws.put16(x16);
+        }
+        for (pos, sv) in rows.chunks(EMB_CHUNK).zip(svals.chunks(EMB_CHUNK)) {
+            let n = pos.len();
+            // Value rows `[1, s]` and tangent rows `[0, 1]`.
+            zeroed(val, n * 2);
+            zeroed(tan, n * 2);
+            for (r, &sr) in sv.iter().enumerate() {
+                val[r * 2] = 1.0;
+                val[r * 2 + 1] = sr;
+                tan[r * 2 + 1] = 1.0;
+            }
+            for ((_, _, act, resnet, ind, outd), baug) in net.layers.iter().zip(&net.aug) {
+                let (ind, outd) = (*ind, *outd);
+                gemm::auto_nn_f32(n, outd, ind + 1, val, baug, zeroed(pre, n * outd));
+                gemm::auto_nn_f32(n, outd, ind + 1, tan, baug, zeroed(dpre, n * outd));
+                if let Some(tl) = tally {
+                    tl.record(n, outd, ind + 1, PrecClass::F32);
+                    tl.record(n, outd, ind + 1, PrecClass::F32);
+                }
+                *gemms += 2;
+                *gemm_rows += 2 * n as u64;
+                zeroed(val_next, n * (outd + 1));
+                zeroed(tan_next, n * (outd + 1));
+                for r in 0..n {
+                    let prer = &pre[r * outd..(r + 1) * outd];
+                    let dprer = &dpre[r * outd..(r + 1) * outd];
+                    let vo = &mut val_next[r * (outd + 1)..(r + 1) * (outd + 1)];
+                    let to = &mut tan_next[r * (outd + 1)..(r + 1) * (outd + 1)];
+                    vo[0] = 1.0;
+                    for o in 0..outd {
+                        let (v, dfac) = act.value_grad_f32(prer[o]);
+                        vo[1 + o] = v;
+                        to[1 + o] = (dfac as f32) * dprer[o];
+                    }
+                    let vi = &val[r * (ind + 1)..(r + 1) * (ind + 1)];
+                    let ti = &tan[r * (ind + 1)..(r + 1) * (ind + 1)];
+                    match resnet {
+                        Resnet::None => {}
+                        Resnet::Identity => {
+                            for i in 0..ind {
+                                vo[1 + i] += vi[1 + i];
+                                to[1 + i] += ti[1 + i];
+                            }
+                        }
+                        Resnet::Doubling => {
+                            for i in 0..ind {
+                                vo[1 + i] += vi[1 + i];
+                                vo[1 + i + ind] += vi[1 + i];
+                                to[1 + i] += ti[1 + i];
+                                to[1 + i + ind] += ti[1 + i];
+                            }
+                        }
+                    }
+                }
+                std::mem::swap(val, val_next);
+                std::mem::swap(tan, tan_next);
+            }
+            // Scatter the final rows (stride m1+1; column 0 is the
+            // augmentation) to their entries.
+            for (r, &p) in pos.iter().enumerate() {
+                let (p, off) = (p as usize, r * (m1 + 1) + 1);
+                g[p * m1..(p + 1) * m1].copy_from_slice(&val[off..off + m1]);
+                dg_ds[p * m1..(p + 1) * m1].copy_from_slice(&tan[off..off + m1]);
+            }
+        }
+    }
+    // T accumulation per atom in entry order (the only order-sensitive
+    // reduction of the pass).
+    t.fill(0.0);
+    for (a, (env, &first)) in envs.iter().zip(entry_start).enumerate() {
+        let ta = &mut t[a * m1 * 4..(a + 1) * m1 * 4];
+        for (k, e) in env.entries.iter().enumerate() {
+            let p = first - base + k;
+            let c64 = e.coords();
+            let c = [c64[0] as f32, c64[1] as f32, c64[2] as f32, c64[3] as f32];
+            coords[p] = c;
+            for m in 0..m1 {
+                let gv = g[p * m1 + m];
+                for (cc, &cv) in c.iter().enumerate() {
+                    ta[m * 4 + cc] += gv * cv * inv_nm;
+                }
+            }
+        }
+    }
+}
+
+/// The fitting pass over one block of flat atoms: from the block's T
+/// matrices, the fitted energy and `∂E/∂D` of every atom, with one stacked
+/// forward/backward sweep per central species.
+fn fit_block(
+    eng: &DpEngine,
+    f16_first: bool,
+    species: &[usize],
+    t: &[f32],
+    efit: &mut [f32],
+    de_dd: &mut [f32],
+    s: &mut BlockScratch,
+) {
+    let (m1, m2) = (eng.model.config.m1(), eng.model.config.m2);
+    let md = m1 * m2;
+    for (ty, fit) in eng.fit32.iter().enumerate() {
+        s.rows.clear();
+        s.rows.extend((0..species.len() as u32).filter(|&a| species[a as usize] == ty));
+        let n = s.rows.len();
+        if n == 0 {
+            continue;
+        }
+        let nl = fit.layers.len();
+        s.xs.resize_with(nl + 1, Vec::default);
+        s.dfac.resize_with(nl, Vec::default);
+        // Descriptor rows D = T·T₂ᵀ.
+        let d = zeroed(&mut s.xs[0], n * md);
+        for (r, &a) in s.rows.iter().enumerate() {
+            let ta = &t[a as usize * m1 * 4..(a as usize + 1) * m1 * 4];
+            for i in 0..m1 {
+                for j in 0..m2 {
+                    let mut acc = 0.0f32;
+                    for c in 0..4 {
+                        acc += ta[i * 4 + c] * ta[j * 4 + c];
+                    }
+                    d[r * md + i * m2 + j] = acc;
+                }
+            }
+        }
+        fit_stacked(eng, fit, n, f16_first, s);
+        for (r, &a) in s.rows.iter().enumerate() {
+            let a = a as usize;
+            efit[a] = s.xs[nl][r];
+            de_dd[a * md..(a + 1) * md].copy_from_slice(&s.grad[r * md..(r + 1) * md]);
+        }
+    }
+}
+
+/// Forward + backward of one fitting net over `n` stacked descriptor rows
+/// in `s.xs[0]`: per-row energies land in `s.xs[nl]`, cotangents `∂E/∂D`
+/// in `s.grad`. Biases, activations and resnet adds run per row in layer
+/// order; the first layer's GEMMs run on binary16 operands when
+/// `f16_first` is set.
+fn fit_stacked(eng: &DpEngine, fit: &Fit32, n: usize, f16_first: bool, s: &mut BlockScratch) {
+    let tally = eng.obs.as_ref().map(|o| &o.gemm);
+    let BlockScratch { xs, dfac, pre, grad, dx, dpre, h16, gemms, gemm_rows, .. } = s;
+    for (li, (w, _, b, act, resnet, ind, outd)) in fit.layers.iter().enumerate() {
+        let (ind, outd) = (*ind, *outd);
+        let (done, next) = xs.split_at_mut(li + 1);
+        let x = &done[li];
+        let pre = zeroed(pre, n * outd);
+        if li == 0 && f16_first {
+            let x16 = zeroed(h16, n * ind);
+            for (d, &v) in x16.iter_mut().zip(x.iter()) {
+                *d = F16::from_f32(v);
+            }
+            gemm::batched_nn_f16(n, 1, outd, ind, x16, &fit.w16_first, pre);
             if let Some(t) = tally {
-                t.record(rows, *outd, *ind, PrecClass::F16);
+                t.record(n, outd, ind, PrecClass::F16);
             }
         } else {
-            gemm::batched_nn_f32(rows, 1, *outd, *ind, x, w, &mut pre);
+            gemm::auto_nn_f32(n, outd, ind, x, w, pre);
             if let Some(t) = tally {
-                t.record(rows, *outd, *ind, PrecClass::F32);
+                t.record(n, outd, ind, PrecClass::F32);
             }
         }
-        stats.fused_gemms += 1;
-        stats.fused_rows += rows as u64;
-        let mut out = ws.take32(rows * outd);
-        let mut dfac = ws.take64(rows * outd);
-        for r in 0..rows {
+        *gemms += 1;
+        *gemm_rows += n as u64;
+        let out = zeroed(&mut next[0], n * outd);
+        let df = zeroed(&mut dfac[li], n * outd);
+        for r in 0..n {
             let prer = &mut pre[r * outd..(r + 1) * outd];
             for (p, &bb) in prer.iter_mut().zip(b) {
                 *p += bb;
             }
             let outr = &mut out[r * outd..(r + 1) * outd];
-            let dfr = &mut dfac[r * outd..(r + 1) * outd];
+            let dfr = &mut df[r * outd..(r + 1) * outd];
             for ((o, d), &p) in outr.iter_mut().zip(dfr.iter_mut()).zip(prer.iter()) {
-                let (v, df) = act.value_grad_f32(p);
-                *o = v;
-                *d = df;
+                (*o, *d) = act.value_grad_f32(p);
             }
+            let xr = &x[r * ind..(r + 1) * ind];
             match resnet {
                 Resnet::None => {}
                 Resnet::Identity => {
-                    let xr = &x[r * ind..(r + 1) * ind];
-                    for i in 0..*ind {
+                    for i in 0..ind {
                         outr[i] += xr[i];
                     }
                 }
                 Resnet::Doubling => {
-                    let xr = &x[r * ind..(r + 1) * ind];
-                    for i in 0..*ind {
+                    for i in 0..ind {
                         outr[i] += xr[i];
                         outr[i + ind] += xr[i];
                     }
                 }
             }
         }
-        ws.put32(pre);
-        dfacs.push(dfac);
-        xs.push(out);
     }
-    // The last layer is 1-wide: its activations are the per-row energies.
-    let energies = xs.pop().unwrap();
 
-    // Backward with unit cotangent per row.
-    let mut g = ws.take32(rows);
-    g.fill(1.0);
-    for (li, (_, wt, _, _act, resnet, ind, outd)) in fit.layers.iter().enumerate().rev() {
-        let dfac = &dfacs[li];
-        let mut dpre = ws.take32(rows * outd);
-        for r in 0..rows {
-            for o in 0..*outd {
-                dpre[r * outd + o] = g[r * outd + o] * (dfac[r * outd + o] as f32);
-            }
+    // Backward with unit cotangent per row (the last layer is 1-wide).
+    zeroed(grad, n).fill(1.0);
+    for (li, (_, wt, _, _, resnet, ind, outd)) in fit.layers.iter().enumerate().rev() {
+        let (ind, outd) = (*ind, *outd);
+        let dp = zeroed(dpre, n * outd);
+        for ((d, &gv), &f) in dp.iter_mut().zip(grad.iter()).zip(dfac[li].iter()) {
+            *d = gv * (f as f32);
         }
-        let mut dx = ws.take32(rows * ind);
+        let dxs = zeroed(dx, n * ind);
         if li == 0 && f16_first {
-            let mut dpre16 = ws.take16(dpre.len());
-            for (d, &s) in dpre16.iter_mut().zip(dpre.iter()) {
-                *d = F16::from_f32(s);
+            let d16 = zeroed(h16, n * outd);
+            for (d, &v) in d16.iter_mut().zip(dp.iter()) {
+                *d = F16::from_f32(v);
             }
-            gemm::batched_nn_f16(rows, 1, *ind, *outd, &dpre16, &fit.wt16_first, &mut dx);
-            ws.put16(dpre16);
+            gemm::batched_nn_f16(n, 1, ind, outd, d16, &fit.wt16_first, dxs);
             if let Some(t) = tally {
-                t.record(rows, *ind, *outd, PrecClass::F16);
+                t.record(n, ind, outd, PrecClass::F16);
             }
         } else {
-            gemm::batched_nn_f32(rows, 1, *ind, *outd, &dpre, wt, &mut dx);
+            gemm::auto_nn_f32(n, ind, outd, dp, wt, dxs);
             if let Some(t) = tally {
-                t.record(rows, *ind, *outd, PrecClass::F32);
+                t.record(n, ind, outd, PrecClass::F32);
             }
         }
-        stats.fused_gemms += 1;
-        stats.fused_rows += rows as u64;
+        *gemms += 1;
+        *gemm_rows += n as u64;
         match resnet {
             Resnet::None => {}
             Resnet::Identity => {
-                for r in 0..rows {
-                    for i in 0..*ind {
-                        dx[r * ind + i] += g[r * outd + i];
+                for r in 0..n {
+                    for i in 0..ind {
+                        dxs[r * ind + i] += grad[r * outd + i];
                     }
                 }
             }
             Resnet::Doubling => {
-                for r in 0..rows {
-                    for i in 0..*ind {
-                        dx[r * ind + i] += g[r * outd + i] + g[r * outd + i + ind];
+                for r in 0..n {
+                    for i in 0..ind {
+                        dxs[r * ind + i] += grad[r * outd + i] + grad[r * outd + i + ind];
                     }
                 }
             }
         }
-        ws.put32(std::mem::replace(&mut g, dx));
-        ws.put32(dpre);
+        std::mem::swap(grad, dx);
     }
-    for v in xs {
-        ws.put32(v);
+}
+
+/// The flat inputs of the chain-rule pass: environments, and the
+/// per-entry and per-atom outputs of the embedding and fitting passes.
+#[derive(Clone, Copy)]
+struct Passes<'a> {
+    envs: &'a [Environment],
+    entry_start: &'a [usize],
+    g: &'a [f32],
+    dg_ds: &'a [f32],
+    coords: &'a [[f32; 4]],
+    t: &'a [f32],
+    efit: &'a [f32],
+    de_dd: &'a [f32],
+}
+
+/// The per-neighbour chain rule of atoms `atoms_range` of one job, forces
+/// in f64. `first` is the job's first flat atom.
+fn chain_rule(
+    eng: &DpEngine,
+    atoms: &Atoms,
+    atoms_range: std::ops::Range<usize>,
+    first: usize,
+    p: Passes<'_>,
+    out: &mut ChunkOut,
+) {
+    let Passes { envs, entry_start, g, dg_ds, coords, t, efit, de_dd } = p;
+    let (m1, m2) = (eng.model.config.m1(), eng.model.config.m2);
+    let inv_nm = 1.0f32 / eng.model.config.nmax as f32;
+    let ChunkOut { energy, virial, forces, dt } = out;
+    *energy = 0.0;
+    *virial = 0.0;
+    zeroed(forces, atoms.len());
+    zeroed(dt, m1 * 4);
+    for i in atoms_range {
+        let a = first + i;
+        let ta = &t[a * m1 * 4..(a + 1) * m1 * 4];
+        *energy += efit[a] as f64 + eng.model.energy_bias[atoms.typ[i] as usize];
+        let grad = &de_dd[a * m1 * m2..(a + 1) * m1 * m2];
+        dt.fill(0.0);
+        for p in 0..m1 {
+            for q in 0..m2 {
+                let gpq = grad[p * m2 + q];
+                for c in 0..4 {
+                    dt[p * 4 + c] += gpq * ta[q * 4 + c];
+                    dt[q * 4 + c] += gpq * ta[p * 4 + c];
+                }
+            }
+        }
+        for (k, e) in envs[a].entries.iter().enumerate() {
+            let p = entry_start[a] + k;
+            let c = coords[p];
+            let mut de_ds = 0.0f32;
+            let mut de_drt = [0.0f32; 4];
+            for m in 0..m1 {
+                let mut de_dg = 0.0f32;
+                for cc in 0..4 {
+                    de_dg += dt[m * 4 + cc] * c[cc];
+                    de_drt[cc] += dt[m * 4 + cc] * g[p * m1 + m];
+                }
+                de_ds += de_dg * inv_nm * dg_ds[p * m1 + m];
+            }
+            for v in &mut de_drt {
+                *v *= inv_nm;
+            }
+            let grads = e.coord_grads();
+            let inv_r = 1.0 / e.r;
+            let dsdd = [e.ds_dr * e.disp.x * inv_r, e.ds_dr * e.disp.y * inv_r, e.ds_dr * e.disp.z * inv_r];
+            let mut f = Vec3::ZERO;
+            for axis in 0..3 {
+                let mut v = de_ds as f64 * dsdd[axis];
+                for cc in 0..4 {
+                    v += de_drt[cc] as f64 * grads[cc][axis];
+                }
+                f[axis] = v;
+            }
+            forces[e.j as usize] -= f;
+            forces[i] += f;
+            *virial += f.dot(e.disp);
+        }
     }
-    for v in dfacs {
-        ws.put64(v);
-    }
-    (energies, g)
 }
 
 impl DpEngine {
-    /// Evaluate many independent systems through one engine, fusing the
+    /// Evaluate many independent systems through one engine, stacking the
     /// embedding and fitting passes across jobs (see module docs). Per job,
-    /// energies/forces/virials are **bitwise identical** to a solo
-    /// [`energy_forces`](Self::energy_forces) call, at any batch size and
-    /// pool width. Returns one [`PotentialOutput`] per job (in job order)
-    /// plus fusion statistics; the aggregate phase breakdown also lands in
+    /// energies/forces/virials are **bitwise independent** of the other
+    /// jobs, the batch size and the pool width. Returns one
+    /// [`PotentialOutput`] per job (in job order) plus stacking statistics;
+    /// the aggregate phase breakdown also lands in
     /// [`last_phases`](Self::last_phases).
     pub fn energy_forces_batched(
         &self,
         jobs: &mut [BatchJob<'_>],
-    ) -> (Vec<PotentialOutput>, BatchEvalStats) {
-        self.energy_forces_batched_with(jobs, &mut BatchWorkspace::new())
-    }
-
-    /// As [`energy_forces_batched`](Self::energy_forces_batched), but reusing
-    /// the caller's [`BatchWorkspace`]. Steady-state callers (the batch
-    /// scheduler evaluates every replica every step) keep one workspace alive
-    /// so the stacked intermediates — hundreds of kilobytes per round at
-    /// production sizes — are allocated once instead of per call. Results are
-    /// bitwise independent of the workspace's history.
-    pub fn energy_forces_batched_with(
-        &self,
-        jobs: &mut [BatchJob<'_>],
-        ws: &mut BatchWorkspace,
     ) -> (Vec<PotentialOutput>, BatchEvalStats) {
         let mut stats = BatchEvalStats { jobs: jobs.len(), ..Default::default() };
         if let Some(o) = &self.obs {
@@ -322,17 +541,15 @@ impl DpEngine {
                 Precision::Mix32 => 1,
                 Precision::Mix16 => 2,
             };
-            for _ in 0..jobs.len() {
-                o.evals[idx].inc();
-            }
+            o.evals[idx].add(jobs.len() as u64);
         }
+        let pool = self.pool();
+        let mut outs = Vec::with_capacity(jobs.len()); // dpmd-allow D5: one output per job, returned to the caller
+        let mut phases = ForcePhases::default();
 
         // The Double path is the f64 reference implementation; it has no
-        // batched form, so each job runs solo (still one shared engine).
+        // stacked form, so each job runs on it in turn.
         if self.precision == Precision::Double {
-            let pool = self.pool();
-            let mut outs = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) staging per batched call
-            let mut phases = ForcePhases::default();
             for job in jobs.iter_mut() {
                 let (out, p) = self.model.energy_forces_on(pool, job.atoms, job.nl, job.bx, job.forces);
                 phases.descriptor_s += p.descriptor_s;
@@ -349,325 +566,105 @@ impl DpEngine {
 
         let f16_first = self.precision == Precision::Mix16;
         let cfg = &self.model.config;
-        let m1 = cfg.m1();
-        let m2 = cfg.m2;
-        let inv_nm = 1.0f32 / cfg.nmax as f32;
-        let pool = self.pool();
-        let mut phases = ForcePhases::default();
-        let tally = self.obs.as_ref().map(|o| &o.gemm);
+        let (m1, m2) = (cfg.m1(), cfg.m2);
+        let mut guard = self.workspace.lock().expect("workspace poisoned by a panicked evaluation");
+        let Workspace { envs, species, entry_start, g, dg_ds, coords, t, efit, de_dd, blocks, chunks } = &mut *guard;
 
-        // Pass 1: descriptors, per job (chunk-parallel inside each call).
+        // Pass 1: descriptors, per job (chunk-parallel inside each call),
+        // laid out along the flat (job, atom) index.
         let t0 = wall_now();
-        let envs: Vec<Vec<crate::descriptor::Environment>> = jobs
-            .iter()
-            .map(|j| build_environments_on(pool, j.atoms, j.nl, j.bx, cfg.rcut_smth, cfg.rcut))
-            .collect(); // dpmd-allow D7: O(jobs) environment staging per batched call
+        envs.clear();
+        species.clear();
+        for j in jobs.iter() {
+            envs.extend(build_environments_on(pool, j.atoms, j.nl, j.bx, cfg.rcut_smth, cfg.rcut));
+            species.extend(j.atoms.typ[..j.atoms.nlocal].iter().map(|&ty| ty as usize));
+        }
+        entry_start.clear();
+        entry_start.push(0);
+        for env in envs.iter() {
+            entry_start.push(entry_start.last().unwrap() + env.entries.len());
+        }
+        let (natoms, nentries) = (envs.len(), entry_start[envs.len()]);
         phases.descriptor_s = t0.elapsed().as_secs_f64();
 
-        // Pass 2: embedding, type-sorted stacked GEMMs across every
-        // (job, atom, neighbour) entry. Each entry's value chain is a row
-        // `[1, v…]` and its tangent chain a row `[0, t…]`, both multiplied
-        // against the augmented weights `[bias ; W]`: the kernel's
-        // zero-seeded ascending-k fold then reproduces the solo path's
-        // bias-seeded accumulation bit for bit (`0 + 1·b == b` for finite
-        // non-zero biases — see module docs). Each result is pure per
-        // entry, so the grouping cannot change bits. The order-dependent
-        // part — accumulating the T matrix — then replays per atom in
-        // entry order, exactly as `embed_atom32` interleaves it.
+        // Every per-entry and per-atom output is fully written by its
+        // block below, so the buffers are resized without re-zeroing.
+        g.resize(nentries * m1, 0.0);
+        dg_ds.resize(nentries * m1, 0.0);
+        coords.resize(nentries, [0.0; 4]);
+        t.resize(natoms * m1 * 4, 0.0);
+        efit.resize(natoms, 0.0);
+        de_dd.resize(natoms * m1 * m2, 0.0);
+        let block_ranges = atom_chunks(natoms);
+        blocks.resize_with(block_ranges.len(), BlockScratch::default);
+        let (envs, species, entry_start) = (&envs[..], &species[..], &entry_start[..]);
+
+        // Pass 2: embedding, one task per block.
         let t0 = wall_now();
-        // Per-atom embedding buffers live in the workspace: every field is
-        // either fully overwritten this round (`g`/`dg_ds` by the scatter,
-        // `coords` by the T accumulation) or re-zeroed here (`t`, and the
-        // zero-fill below covers all of them anyway), so reuse is invisible.
-        let mut embeds = std::mem::take(&mut ws.embeds);
-        embeds.resize_with(envs.len(), Vec::default);
-        for (je, jm) in envs.iter().zip(embeds.iter_mut()) {
-            jm.resize_with(je.len(), AtomEmbed32::default);
-            for (env, am) in je.iter().zip(jm.iter_mut()) {
-                let n = env.entries.len();
-                am.g.clear();
-                am.g.resize(n * m1, 0.0);
-                am.dg_ds.clear();
-                am.dg_ds.resize(n * m1, 0.0);
-                am.t.clear();
-                am.t.resize(m1 * 4, 0.0);
-                am.coords.clear();
-                am.coords.resize(n, [0.0f32; 4]);
-            }
-        }
-        // Bound the stacked intermediates so they stay cache-sized; chunking
-        // is bitwise-invisible because every row is independent.
-        const EMB_CHUNK: usize = 4096;
-        let mut locs = std::mem::take(&mut ws.locs);
-        for (ty, emb_net) in self.emb32.iter().enumerate() {
-            // Gather this species' entries across the whole batch, in
-            // (job, atom, entry) order.
-            locs.clear();
-            let mut svals = ws.take32(0);
-            for (ji, je) in envs.iter().enumerate() {
-                for (ai, env) in je.iter().enumerate() {
-                    for (k, e) in env.entries.iter().enumerate() {
-                        if e.typ as usize == ty {
-                            locs.push((ji as u32, ai as u32, k as u32));
-                            svals.push(e.s as f32);
-                        }
-                    }
-                }
-            }
-            if locs.is_empty() {
-                ws.put32(svals);
-                continue;
-            }
-            for (chunk_locs, chunk_s) in locs.chunks(EMB_CHUNK).zip(svals.chunks(EMB_CHUNK)) {
-                let rows = chunk_locs.len();
-                // Stacked value rows `[1, s]` and tangent rows `[0, 1]`,
-                // augmented column first.
-                let mut val = ws.take32(rows * 2);
-                let mut tan = ws.take32(rows * 2);
-                for (r, &s) in chunk_s.iter().enumerate() {
-                    val[r * 2] = 1.0;
-                    val[r * 2 + 1] = s;
-                    tan[r * 2 + 1] = 1.0;
-                }
-                for ((_, _, act, resnet, ind, outd), baug) in emb_net.layers.iter().zip(&emb_net.aug) {
-                    let (ind, outd) = (*ind, *outd);
-                    let mut pre = ws.take32(rows * outd);
-                    let mut dpre = ws.take32(rows * outd);
-                    gemm::batched_nn_f32(rows, 1, outd, ind + 1, &val, baug, &mut pre);
-                    gemm::batched_nn_f32(rows, 1, outd, ind + 1, &tan, baug, &mut dpre);
-                    if let Some(t) = tally {
-                        t.record(rows, outd, ind + 1, PrecClass::F32);
-                        t.record(rows, outd, ind + 1, PrecClass::F32);
-                    }
-                    stats.fused_gemms += 2;
-                    stats.fused_rows += 2 * rows as u64;
-                    let mut val_out = ws.take32(rows * (outd + 1));
-                    let mut tan_out = ws.take32(rows * (outd + 1));
-                    for r in 0..rows {
-                        let prer = &pre[r * outd..(r + 1) * outd];
-                        let dprer = &dpre[r * outd..(r + 1) * outd];
-                        let vo = &mut val_out[r * (outd + 1)..(r + 1) * (outd + 1)];
-                        let to = &mut tan_out[r * (outd + 1)..(r + 1) * (outd + 1)];
-                        vo[0] = 1.0;
-                        for o in 0..outd {
-                            let (v, dfac) = act.value_grad_f32(prer[o]);
-                            vo[1 + o] = v;
-                            to[1 + o] = (dfac as f32) * dprer[o];
-                        }
-                        let vi = &val[r * (ind + 1)..(r + 1) * (ind + 1)];
-                        let ti = &tan[r * (ind + 1)..(r + 1) * (ind + 1)];
-                        match resnet {
-                            Resnet::None => {}
-                            Resnet::Identity => {
-                                for i in 0..ind {
-                                    vo[1 + i] += vi[1 + i];
-                                    to[1 + i] += ti[1 + i];
-                                }
-                            }
-                            Resnet::Doubling => {
-                                for i in 0..ind {
-                                    vo[1 + i] += vi[1 + i];
-                                    vo[1 + i + ind] += vi[1 + i];
-                                    to[1 + i] += ti[1 + i];
-                                    to[1 + i + ind] += ti[1 + i];
-                                }
-                            }
-                        }
-                    }
-                    ws.put32(std::mem::replace(&mut val, val_out));
-                    ws.put32(std::mem::replace(&mut tan, tan_out));
-                    ws.put32(pre);
-                    ws.put32(dpre);
-                }
-                // Scatter the final rows (stride m1+1; column 0 is the
-                // augmentation) into the per-atom embedding buffers.
-                for (r, &(ji, ai, k)) in chunk_locs.iter().enumerate() {
-                    let am = &mut embeds[ji as usize][ai as usize];
-                    let (k, off) = (k as usize, r * (m1 + 1) + 1);
-                    am.g[k * m1..(k + 1) * m1].copy_from_slice(&val[off..off + m1]);
-                    am.dg_ds[k * m1..(k + 1) * m1].copy_from_slice(&tan[off..off + m1]);
-                }
-                ws.put32(val);
-                ws.put32(tan);
-            }
-            ws.put32(svals);
-        }
-        ws.locs = locs;
-        for (je, jm) in envs.iter().zip(embeds.iter_mut()) {
-            for (env, am) in je.iter().zip(jm.iter_mut()) {
-                for (k, e) in env.entries.iter().enumerate() {
-                    let c64 = e.coords();
-                    let c = [c64[0] as f32, c64[1] as f32, c64[2] as f32, c64[3] as f32];
-                    am.coords[k] = c;
-                    for m in 0..m1 {
-                        let gv = am.g[k * m1 + m];
-                        for (cc, &cv) in c.iter().enumerate() {
-                            am.t[m * 4 + cc] += gv * cv * inv_nm;
-                        }
-                    }
-                }
-            }
-        }
-        phases.embedding_s = t0.elapsed().as_secs_f64();
-
-        // Pass 3: fitting, stacked by central species across all jobs. The
-        // descriptor row D is pure per atom (computed here in the solo loop
-        // order); the net forward/backward then runs once per species as
-        // layer-wise batched GEMMs over all stacked rows.
-        let t0 = wall_now();
-        let mut efit: Vec<Vec<f32>> = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        let mut de_dd: Vec<Vec<f32>> = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        for j in jobs.iter() {
-            efit.push(ws.take32(j.atoms.nlocal));
-            de_dd.push(ws.take32(j.atoms.nlocal * m1 * m2));
-        }
-        let mut row_of = std::mem::take(&mut ws.row_of);
-        for (ty, fit) in self.fit32.iter().enumerate() {
-            row_of.clear();
-            for (ji, job) in jobs.iter().enumerate() {
-                for i in 0..job.atoms.nlocal {
-                    if job.atoms.typ[i] as usize == ty {
-                        row_of.push((ji, i));
-                    }
-                }
-            }
-            let rows = row_of.len();
-            if rows == 0 {
-                continue;
-            }
-            let mut d_stacked = ws.take32(rows * m1 * m2);
-            for (r, &(ji, i)) in row_of.iter().enumerate() {
-                let t = &embeds[ji][i].t;
-                let drow = &mut d_stacked[r * m1 * m2..(r + 1) * m1 * m2];
-                for a in 0..m1 {
-                    for b in 0..m2 {
-                        let mut acc = 0.0f32;
-                        for c in 0..4 {
-                            acc += t[a * 4 + c] * t[b * 4 + c];
-                        }
-                        drow[a * m2 + b] = acc;
-                    }
-                }
-            }
-            let (energies, grads) =
-                fit_batched(fit, rows, d_stacked, f16_first, self, &mut stats, ws);
-            for (r, &(ji, i)) in row_of.iter().enumerate() {
-                efit[ji][i] = energies[r];
-                de_dd[ji][i * m1 * m2..(i + 1) * m1 * m2]
-                    .copy_from_slice(&grads[r * m1 * m2..(r + 1) * m1 * m2]);
-            }
-            ws.put32(energies);
-            ws.put32(grads);
-        }
-        ws.row_of = row_of;
-
-        // Pass 4: per-job chain rule and force scatter, in exactly the solo
-        // pass-3 structure — per-chunk f64 buffers over `atom_chunks`,
-        // energies summed in atom order, chunks merged in chunk order — so
-        // every f64 accumulation happens in the solo order.
-        let mut outs = Vec::with_capacity(jobs.len()); // dpmd-allow D7: O(jobs) output staging per batched call
-        for (ji, job) in jobs.iter_mut().enumerate() {
-            let atoms = job.atoms;
-            let chunks = atom_chunks(atoms.nlocal);
-            struct ChunkOut {
-                energy: f64,
-                virial: f64,
-                forces: Vec<Vec3>,
-            }
-            let mut couts: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect(); // dpmd-allow D7: O(chunks) slots per job
-            {
-                let (envs, embeds) = (&envs[ji], &embeds[ji]);
-                let (efit, de_dd) = (&efit[ji], &de_dd[ji]);
-                let nall = atoms.len();
-                pool.scope(|sc| {
-                    for (range, slot) in chunks.iter().zip(couts.iter_mut()) {
-                        let range = range.clone(); // dpmd-allow D7: Range clone is Copy-sized, no heap
-                        sc.spawn(move || {
-                            let mut buf = vec![Vec3::ZERO; nall]; // dpmd-allow D7: one force buffer per chunk, amortized over the chunk's atoms
-                            let mut energy = 0.0f64;
-                            let mut virial = 0.0f64;
-                            // dT scratch hoisted out of the atom loop
-                            // (accumulated, so reset per atom) — mirrors
-                            // the solo pass-3 chunk scratch.
-                            let mut dt = vec![0.0f32; m1 * 4]; // dpmd-allow D7: per-chunk scratch, reused per atom
-                            for i in range {
-                                let env = &envs[i];
-                                let emb = &embeds[i];
-                                let ti = atoms.typ[i] as usize;
-                                let t = &emb.t;
-                                energy += efit[i] as f64 + self.model.energy_bias[ti];
-                                let grad = &de_dd[i * m1 * m2..(i + 1) * m1 * m2];
-
-                                dt.fill(0.0);
-                                for a in 0..m1 {
-                                    for b in 0..m2 {
-                                        let aab = grad[a * m2 + b];
-                                        for c in 0..4 {
-                                            dt[a * 4 + c] += aab * t[b * 4 + c];
-                                            dt[b * 4 + c] += aab * t[a * 4 + c];
-                                        }
-                                    }
-                                }
-                                for (k, e) in env.entries.iter().enumerate() {
-                                    let c = emb.coords[k];
-                                    let mut de_ds = 0.0f32;
-                                    let mut de_drt = [0.0f32; 4];
-                                    for m in 0..m1 {
-                                        let mut de_dg = 0.0f32;
-                                        for cc in 0..4 {
-                                            de_dg += dt[m * 4 + cc] * c[cc];
-                                            de_drt[cc] += dt[m * 4 + cc] * emb.g[k * m1 + m];
-                                        }
-                                        de_ds += de_dg * inv_nm * emb.dg_ds[k * m1 + m];
-                                    }
-                                    for v in &mut de_drt {
-                                        *v *= inv_nm;
-                                    }
-                                    let grads = e.coord_grads();
-                                    let inv_r = 1.0 / e.r;
-                                    let dsdd = [
-                                        e.ds_dr * e.disp.x * inv_r,
-                                        e.ds_dr * e.disp.y * inv_r,
-                                        e.ds_dr * e.disp.z * inv_r,
-                                    ];
-                                    let mut de_dd_vec = Vec3::ZERO;
-                                    for axis in 0..3 {
-                                        let mut v = de_ds as f64 * dsdd[axis];
-                                        for cc in 0..4 {
-                                            v += de_drt[cc] as f64 * grads[cc][axis];
-                                        }
-                                        de_dd_vec[axis] = v;
-                                    }
-                                    let j = e.j as usize;
-                                    buf[j] -= de_dd_vec;
-                                    buf[i] += de_dd_vec;
-                                    virial += de_dd_vec.dot(e.disp);
-                                }
-                            }
-                            *slot = Some(ChunkOut { energy, virial, forces: buf });
-                        });
-                    }
+        pool.scope(|sc| {
+            let (mut g, mut dg_ds, mut coords, mut t) = (&mut g[..], &mut dg_ds[..], &mut coords[..], &mut t[..]);
+            for (r, s) in block_ranges.iter().zip(blocks.iter_mut()) {
+                let (lo, hi) = (r.start, r.end);
+                let ne = entry_start[hi] - entry_start[lo];
+                let g_b = take_head(&mut g, ne * m1);
+                let dg_b = take_head(&mut dg_ds, ne * m1);
+                let c_b = take_head(&mut coords, ne);
+                let t_b = take_head(&mut t, (hi - lo) * m1 * 4);
+                s.gemms = 0;
+                s.gemm_rows = 0;
+                sc.spawn(move || {
+                    embed_block(self, &envs[lo..hi], &entry_start[lo..=hi], g_b, dg_b, c_b, t_b, s)
                 });
             }
-            let mut total_e = 0.0f64;
+        });
+        phases.embedding_s = t0.elapsed().as_secs_f64();
+
+        // Pass 3: fitting, one task per block; then the per-job chain rule
+        // in `atom_chunks` of the job, merged in chunk order (timed as the
+        // reduction).
+        let t0 = wall_now();
+        pool.scope(|sc| {
+            let t = &t[..];
+            let (mut efit, mut de_dd) = (&mut efit[..], &mut de_dd[..]);
+            for (r, s) in block_ranges.iter().zip(blocks.iter_mut()) {
+                let (lo, hi) = (r.start, r.end);
+                let e_b = take_head(&mut efit, hi - lo);
+                let d_b = take_head(&mut de_dd, (hi - lo) * m1 * m2);
+                let t_b = &t[lo * m1 * 4..hi * m1 * 4];
+                sc.spawn(move || fit_block(self, f16_first, &species[lo..hi], t_b, e_b, d_b, s));
+            }
+        });
+        for s in &blocks[..block_ranges.len()] {
+            stats.fused_gemms += s.gemms;
+            stats.fused_rows += s.gemm_rows;
+        }
+        let passes = Passes { envs, entry_start, g, dg_ds, coords, t, efit, de_dd };
+        let mut first = 0;
+        for job in jobs.iter_mut() {
+            let atoms = job.atoms;
+            let ranges = atom_chunks(atoms.nlocal);
+            chunks.resize_with(ranges.len(), ChunkOut::default);
+            pool.scope(|sc| {
+                for (r, out) in ranges.iter().zip(chunks.iter_mut()) {
+                    sc.spawn(move || chain_rule(self, atoms, r.start..r.end, first, passes, out));
+                }
+            });
+            let tm = wall_now();
+            let mut energy = 0.0f64;
             let mut virial = 0.0f64;
-            for cout in couts.into_iter().flatten() {
-                total_e += cout.energy;
-                virial += cout.virial;
-                for (f, b) in job.forces.iter_mut().zip(&cout.forces) {
+            for c in &chunks[..ranges.len()] {
+                energy += c.energy;
+                virial += c.virial;
+                for (f, b) in job.forces.iter_mut().zip(&c.forces) {
                     *f += *b;
                 }
             }
-            outs.push(PotentialOutput { energy: total_e, virial: -virial });
+            phases.reduction_s += tm.elapsed().as_secs_f64();
+            outs.push(PotentialOutput { energy, virial: -virial });
+            first += atoms.nlocal;
         }
-        phases.fitting_s = t0.elapsed().as_secs_f64();
-        for v in efit {
-            ws.put32(v);
-        }
-        for v in de_dd {
-            ws.put32(v);
-        }
-        ws.embeds = embeds;
+        phases.fitting_s = t0.elapsed().as_secs_f64() - phases.reduction_s;
+        drop(guard);
 
         stats.phases = phases;
         *self.last_phases.lock().unwrap() = Some(phases);
@@ -680,10 +677,14 @@ mod tests {
     use super::*;
     use crate::config::DeepPotConfig;
     use crate::model::DeepPotModel;
+    use dpmd_threads::ThreadPool;
     use minimd::lattice::{fcc_copper, water_box};
     use minimd::neighbor::ListKind;
+    use std::sync::Arc;
 
-    fn copper_system(perturb_seed: u64) -> (SimBox, Atoms, NeighborList) {
+    type System = (SimBox, Atoms, NeighborList);
+
+    fn copper_system(perturb_seed: u64) -> System {
         let (bx, mut atoms) = fcc_copper(3, 3, 3);
         for (k, p) in atoms.pos.iter_mut().enumerate() {
             let h = (k as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(perturb_seed);
@@ -696,47 +697,78 @@ mod tests {
         (bx, atoms, nl)
     }
 
-    /// The whole design hinges on this: any number of jobs, evaluated in one
-    /// batched call, must reproduce each job's solo evaluation bit for bit.
-    #[test]
-    fn batched_jobs_are_bitwise_identical_to_solo() {
-        for precision in [Precision::Mix32, Precision::Mix16, Precision::Double] {
-            let model = DeepPotModel::new(DeepPotConfig::tiny(1, 5.0));
-            let engine = DpEngine::new(model, precision);
-            let systems: Vec<_> = (0..3).map(|s| copper_system(1000 + s)).collect();
+    fn water_system(seed: u64) -> System {
+        let (bx, atoms) = water_box(2, 2, 2, seed);
+        let mut nl = NeighborList::new(4.0, 0.5, ListKind::Full);
+        nl.build(&atoms, &bx);
+        (bx, atoms, nl)
+    }
 
-            let solo: Vec<_> = systems
-                .iter()
-                .map(|(bx, atoms, nl)| {
-                    let mut f = vec![Vec3::ZERO; atoms.len()];
-                    let out = engine.energy_forces(atoms, nl, bx, &mut f);
-                    (out, f)
-                })
-                .collect();
+    /// Evaluate `order` (indices into `systems`) as one batch.
+    fn run_batch(
+        engine: &DpEngine,
+        systems: &[System],
+        order: &[usize],
+    ) -> (Vec<(PotentialOutput, Vec<Vec3>)>, BatchEvalStats) {
+        let mut bufs: Vec<Vec<Vec3>> = order.iter().map(|&i| vec![Vec3::ZERO; systems[i].1.len()]).collect();
+        let mut jobs: Vec<BatchJob> = order
+            .iter()
+            .zip(bufs.iter_mut())
+            .map(|(&i, forces)| {
+                let (bx, atoms, nl) = &systems[i];
+                BatchJob { atoms, nl, bx, forces }
+            })
+            .collect();
+        let (outs, stats) = engine.energy_forces_batched(&mut jobs);
+        (outs.into_iter().zip(bufs).collect(), stats)
+    }
 
-            let mut force_bufs: Vec<Vec<Vec3>> =
-                systems.iter().map(|(_, atoms, _)| vec![Vec3::ZERO; atoms.len()]).collect();
-            let mut jobs: Vec<BatchJob> = systems
-                .iter()
-                .zip(force_bufs.iter_mut())
-                .map(|((bx, atoms, nl), forces)| BatchJob { atoms, nl, bx, forces })
-                .collect();
-            let (outs, stats) = engine.energy_forces_batched(&mut jobs);
-
-            assert_eq!(outs.len(), 3);
-            for (ji, ((out_solo, f_solo), out_b)) in solo.iter().zip(&outs).enumerate() {
-                assert_eq!(out_solo.energy, out_b.energy, "{precision:?} job {ji} energy");
-                assert_eq!(out_solo.virial, out_b.virial, "{precision:?} job {ji} virial");
-                assert_eq!(f_solo, &force_bufs[ji], "{precision:?} job {ji} forces");
-            }
-            if precision == Precision::Double {
-                assert_eq!(stats.solo_fallbacks, 3);
-            } else {
-                assert_eq!(stats.solo_fallbacks, 0);
-                assert!(stats.fused_gemms > 0, "fitting GEMMs must fuse");
-                assert!(stats.fused_rows > stats.fused_gemms, "rows must stack");
+    /// A job's bits must not depend on its companions, the batch size, its
+    /// position in the batch, or the pool width: every batch below must
+    /// reproduce each job's batch-of-one evaluation on a serial pool.
+    fn assert_invariant(model: &DeepPotModel, precision: Precision, systems: &[System]) {
+        let serial = DpEngine::new(model.clone(), precision).with_pool(Arc::new(ThreadPool::serial()));
+        let alone: Vec<_> = (0..systems.len()).map(|i| run_batch(&serial, systems, &[i]).0.remove(0)).collect();
+        let n = systems.len();
+        let orders: [Vec<usize>; 3] = [(0..n).collect(), (0..n).rev().collect(), (0..n).chain(0..n).collect()];
+        for threads in [1usize, 2, 3, 6] {
+            let engine = DpEngine::new(model.clone(), precision).with_pool(Arc::new(ThreadPool::new(threads)));
+            for order in &orders {
+                let (outs, stats) = run_batch(&engine, systems, order);
+                for (&i, (out, f)) in order.iter().zip(&outs) {
+                    let ctx = format!("{precision:?} job {i} of {order:?} at {threads} threads");
+                    assert_eq!(alone[i].0.energy.to_bits(), out.energy.to_bits(), "{ctx}: energy");
+                    assert_eq!(alone[i].0.virial.to_bits(), out.virial.to_bits(), "{ctx}: virial");
+                    assert_eq!(&alone[i].1, f, "{ctx}: forces");
+                }
+                if precision == Precision::Double {
+                    assert_eq!(stats.solo_fallbacks, order.len() as u64);
+                } else {
+                    assert_eq!(stats.solo_fallbacks, 0);
+                    assert!(stats.fused_gemms > 0, "fitting GEMMs must stack");
+                    assert!(stats.fused_rows > stats.fused_gemms, "rows must stack");
+                }
             }
         }
+    }
+
+    /// The whole design hinges on this for one species at every precision.
+    #[test]
+    fn job_bits_are_invariant_under_companions_and_pool_width() {
+        let model = DeepPotModel::new(DeepPotConfig::tiny(1, 5.0));
+        let systems: Vec<_> = (0..3).map(|s| copper_system(1000 + s)).collect();
+        for precision in [Precision::Mix32, Precision::Mix16, Precision::Double] {
+            assert_invariant(&model, precision, &systems);
+        }
+    }
+
+    /// Two species (water): the type-sorted stacking must respect per-atom
+    /// species for both embedding and fitting nets.
+    #[test]
+    fn multi_species_bits_are_invariant_under_companions_and_pool_width() {
+        let model = DeepPotModel::new(DeepPotConfig::tiny(2, 4.0));
+        let systems = [water_system(31), water_system(32)];
+        assert_invariant(&model, Precision::Mix32, &systems);
     }
 
     /// The augmented-column trick the stacked embedding GEMMs rest on:
@@ -764,37 +796,16 @@ mod tests {
             // Bias-seeded reference in this class's rounding regime,
             // accumulating ascending-i like every kernel's k-fold.
             let fused = kernel.class() != DispatchClass::Scalar;
-            let mut solo = b.clone();
+            let mut seeded = b.clone();
             for i in 0..ind {
-                for (o, s) in solo.iter_mut().enumerate() {
+                for (o, s) in seeded.iter_mut().enumerate() {
                     *s = if fused { v[i].mul_add(w[i * outd + o], *s) } else { *s + v[i] * w[i * outd + o] };
                 }
             }
 
             let mut c = vec![0.0f32; outd];
             kernel.nn_f32(1, outd, ind + 1, &row, &aug_b, &mut c);
-            assert_eq!(solo, c, "class {:?}", kernel.class());
+            assert_eq!(seeded, c, "class {:?}", kernel.class());
         }
-    }
-
-    /// Two species (water): the type-sorted grouping must respect per-atom
-    /// species for both embedding and fitting nets.
-    #[test]
-    fn batched_multi_species_matches_solo() {
-        let model = DeepPotModel::new(DeepPotConfig::tiny(2, 4.0));
-        let engine = DpEngine::new(model, Precision::Mix32);
-        let (bx, atoms) = water_box(2, 2, 2, 31);
-        let mut nl = NeighborList::new(4.0, 0.5, ListKind::Full);
-        nl.build(&atoms, &bx);
-
-        let mut f_solo = vec![Vec3::ZERO; atoms.len()];
-        let out_solo = engine.energy_forces(&atoms, &nl, &bx, &mut f_solo);
-
-        let mut f_b = vec![Vec3::ZERO; atoms.len()];
-        let mut jobs = [BatchJob { atoms: &atoms, nl: &nl, bx: &bx, forces: &mut f_b }];
-        let (outs, _) = engine.energy_forces_batched(&mut jobs);
-        assert_eq!(out_solo.energy, outs[0].energy);
-        assert_eq!(out_solo.virial, outs[0].virial);
-        assert_eq!(f_solo, f_b);
     }
 }

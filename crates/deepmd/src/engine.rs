@@ -10,12 +10,16 @@
 //! These paths share the exact dataflow of [`crate::model::DeepPotModel`];
 //! Table II and Fig. 6 measure how far the reduced-precision energies and
 //! forces drift from the Double path and from the reference labels.
+//!
+//! `Mix32` and `Mix16` have one evaluator, the stacked, block-parallel
+//! [`DpEngine::energy_forces_batched`] of [`crate::batch`]; a solo
+//! [`DpEngine::energy_forces`] call is a batch of one. This module holds
+//! the engine, its f32/f16 weight copies and the [`Potential`] adapter.
 
 use std::sync::{Arc, Mutex};
-use dpmd_obs::clock::wall_now;
 
 use dpmd_obs::{Counter, MetricsRegistry, Unit};
-use dpmd_threads::{atom_chunks, ThreadPool};
+use dpmd_threads::ThreadPool;
 use minimd::atoms::Atoms;
 use minimd::neighbor::NeighborList;
 use minimd::potential::{ForcePhases, Potential, PotentialOutput};
@@ -23,12 +27,11 @@ use minimd::simbox::SimBox;
 use minimd::vec3::Vec3;
 use nnet::activation::Activation;
 use nnet::f16::F16;
-use nnet::gemm::{self, simd};
 use nnet::layers::Resnet;
 use nnet::precision::Precision;
-use nnet::stats::{GemmTally, PrecClass};
+use nnet::stats::GemmTally;
 
-use crate::descriptor::build_environments_on;
+use crate::batch::{BatchJob, Workspace};
 use crate::model::DeepPotModel;
 
 /// One embedding layer: (w in×out, b, act, resnet, in, out).
@@ -36,11 +39,11 @@ pub(crate) type EmbLayer32 = (Vec<f32>, Vec<f32>, Activation, Resnet, usize, usi
 
 /// One embedding net with weights cast to f32, plus the augmented per-layer
 /// matrices `[bias ; W]` (shape `(ind+1)×outd`), built once at engine
-/// construction — the paper's initialization-phase preprocessing — and
-/// shared by the solo and batched embedding passes: both run zero-seeded
-/// augmented GEMMs (value rows `[1, v…]`, tangent rows `[0, t…]`) so the
-/// kernel's ascending-k fold reproduces the bias-seeded accumulation of the
-/// historical per-entry loop bit for bit within each dispatch class.
+/// construction — the paper's initialization-phase preprocessing. The
+/// embedding pass runs zero-seeded augmented GEMMs against them (value rows
+/// `[1, v…]`, tangent rows `[0, t…]`), so the kernel's ascending-k fold
+/// reproduces a bias-seeded per-entry accumulation bit for bit within each
+/// dispatch class.
 #[derive(Clone, Debug)]
 pub(crate) struct Emb32 {
     pub(crate) layers: Vec<EmbLayer32>,
@@ -80,21 +83,6 @@ impl Emb32 {
 /// One fitting layer: (w in×out, wᵀ out×in, b, act, resnet, in, out).
 pub(crate) type FitLayer32 = (Vec<f32>, Vec<f32>, Vec<f32>, Activation, Resnet, usize, usize);
 
-/// Reusable forward/backward tape for [`Fit32::energy_and_grad_into`]:
-/// one instance per chunk worker, so the per-atom fitting sweep stops
-/// allocating once the buffers have grown to the network's layer widths.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Fit32Scratch {
-    /// Per-layer biased pre-activations (the backward tape).
-    pres: Vec<Vec<f32>>,
-    x: Vec<f32>,
-    out: Vec<f32>,
-    x16: Vec<F16>,
-    dpre: Vec<f32>,
-    dx: Vec<f32>,
-    dpre16: Vec<F16>,
-}
-
 /// One fitting net with f32 weights (and binary16 copies of the first
 /// layer's weight matrices for the `Mix16` path).
 #[derive(Clone, Debug)]
@@ -122,133 +110,6 @@ impl Fit32 {
         let wt16_first = layers[0].1.iter().map(|&x| F16::from_f32(x)).collect();
         Fit32 { layers, w16_first, wt16_first }
     }
-
-    /// Energy and ∂E/∂D for a single descriptor row, in f32 (first-layer
-    /// GEMMs in fp16 when `f16_first` is set). The cotangent lands in
-    /// `g`; with `g` and `scratch` reused across calls the whole
-    /// forward/backward sweep is allocation-free after first growth —
-    /// this runs once per atom inside the fitting chunk loop.
-    fn energy_and_grad_into(
-        &self,
-        d: &[f32],
-        f16_first: bool,
-        tally: Option<&GemmTally>,
-        g: &mut Vec<f32>,
-        scratch: &mut Fit32Scratch,
-    ) -> f32 {
-        let nl = self.layers.len();
-        let Fit32Scratch { pres, x, out, x16, dpre, dx, dpre16 } = scratch;
-        // Forward, saving biased pre-activations (the backward tape).
-        pres.resize_with(nl, Vec::default);
-        x.clear();
-        x.extend_from_slice(d);
-        for (li, (w, _, b, act, resnet, ind, outd)) in self.layers.iter().enumerate() {
-            let pre = &mut pres[li];
-            pre.clear();
-            pre.resize(*outd, 0.0f32);
-            if li == 0 && f16_first {
-                x16.clear();
-                x16.extend(x.iter().map(|&v| F16::from_f32(v)));
-                simd::gemm_nn_f16(1, *outd, *ind, x16, &self.w16_first, pre);
-                if let Some(t) = tally {
-                    t.record(1, *outd, *ind, PrecClass::F16);
-                }
-            } else {
-                gemm::auto_nn_f32(1, *outd, *ind, x, w, pre);
-                if let Some(t) = tally {
-                    t.record(1, *outd, *ind, PrecClass::F32);
-                }
-            }
-            for (p, &bb) in pre.iter_mut().zip(b) {
-                *p += bb;
-            }
-            out.clear();
-            out.extend(pre.iter().map(|&p| act.apply_f32(p)));
-            match resnet {
-                Resnet::None => {}
-                Resnet::Identity => {
-                    for i in 0..*ind {
-                        out[i] += x[i];
-                    }
-                }
-                Resnet::Doubling => {
-                    for i in 0..*ind {
-                        out[i] += x[i];
-                        out[i + ind] += x[i];
-                    }
-                }
-            }
-            std::mem::swap(x, out);
-        }
-        let energy = x[0];
-
-        // Backward with unit cotangent.
-        g.clear();
-        g.push(1.0f32);
-        for (li, (_, wt, _, act, resnet, ind, outd)) in self.layers.iter().enumerate().rev() {
-            let pre = &pres[li];
-            dpre.clear();
-            dpre.resize(*outd, 0.0f32);
-            for o in 0..*outd {
-                dpre[o] = g[o] * (act.derivative(pre[o] as f64) as f32);
-            }
-            dx.clear();
-            dx.resize(*ind, 0.0f32);
-            if li == 0 && f16_first {
-                dpre16.clear();
-                dpre16.extend(dpre.iter().map(|&v| F16::from_f32(v)));
-                simd::gemm_nn_f16(1, *ind, *outd, dpre16, &self.wt16_first, dx);
-                if let Some(t) = tally {
-                    t.record(1, *ind, *outd, PrecClass::F16);
-                }
-            } else {
-                gemm::auto_nn_f32(1, *ind, *outd, dpre, wt, dx);
-                if let Some(t) = tally {
-                    t.record(1, *ind, *outd, PrecClass::F32);
-                }
-            }
-            match resnet {
-                Resnet::None => {}
-                Resnet::Identity => {
-                    for i in 0..*ind {
-                        dx[i] += g[i];
-                    }
-                }
-                Resnet::Doubling => {
-                    for i in 0..*ind {
-                        dx[i] += g[i] + g[i + ind];
-                    }
-                }
-            }
-            std::mem::swap(g, dx);
-        }
-        energy
-    }
-}
-
-/// Reusable buffers of the type-sorted f32 embedding pass: one instance per
-/// worker chunk, so the per-atom GEMM staging allocates only on growth.
-#[derive(Default)]
-pub(crate) struct EmbScratch {
-    /// Entry positions of the type currently being batched.
-    idx: Vec<u32>,
-    /// Augmented value rows, stride `width + 1` (column 0 carries the 1).
-    val: Vec<f32>,
-    /// Augmented tangent rows, stride `width + 1` (column 0 carries the 0).
-    tan: Vec<f32>,
-    pre: Vec<f32>,
-    dpre: Vec<f32>,
-    val_next: Vec<f32>,
-    tan_next: Vec<f32>,
-}
-
-/// Per-atom intermediates of the f32 embedding pass (Mix32/Mix16 paths).
-#[derive(Default)]
-pub(crate) struct AtomEmbed32 {
-    pub(crate) g: Vec<f32>,
-    pub(crate) dg_ds: Vec<f32>,
-    pub(crate) t: Vec<f32>,
-    pub(crate) coords: Vec<[f32; 4]>,
 }
 
 /// Observability handles of an attached engine: per-precision evaluation
@@ -273,6 +134,8 @@ pub struct DpEngine {
     /// Phase breakdown of the last evaluation (`compute` takes `&self`, so
     /// interior mutability is needed to record it).
     pub(crate) last_phases: Mutex<Option<ForcePhases>>,
+    /// Buffers of the stacked passes, reused across evaluations.
+    pub(crate) workspace: Mutex<Workspace>,
     /// Metric handles; `None` (the default) skips all recording.
     pub(crate) obs: Option<DpObs>,
 }
@@ -291,38 +154,24 @@ impl DpEngine {
             fit32,
             pool: None,
             last_phases: Mutex::new(None),
+            workspace: Mutex::default(),
             obs: None,
         }
     }
 
     /// Register this engine's metrics on `reg` and start recording: one
-    /// evaluation counter per precision path, and a GEMM call tally keyed by
-    /// M×N×K shape class covering every fitting-net GEMM (forward and
-    /// backward, fp32 and fp16 first-layer variants) and the per-neighbour
-    /// embedding matvecs.
+    /// evaluation counter per precision path, and a GEMM call tally of every
+    /// embedding and fitting GEMM. The GEMMs stack a data-dependent number
+    /// of rows, so they have no fixed exact shape to pre-register; the
+    /// tally's per-precision M-class counters cover them.
     pub fn attach_obs(&mut self, reg: &MetricsRegistry) {
-        let mut shapes: Vec<(usize, usize, usize, PrecClass)> = Vec::new();
-        for fit in &self.fit32 {
-            for (li, (_, _, _, _, _, ind, outd)) in fit.layers.iter().enumerate() {
-                shapes.push((1, *outd, *ind, PrecClass::F32)); // forward
-                shapes.push((1, *ind, *outd, PrecClass::F32)); // backward
-                if li == 0 {
-                    // The Mix16 path runs the first layer on f16 storage.
-                    shapes.push((1, *outd, *ind, PrecClass::F16));
-                    shapes.push((1, *ind, *outd, PrecClass::F16));
-                }
-            }
-        }
-        // Embedding GEMMs are type-sorted with data-dependent row counts, so
-        // they have no fixed exact shape to pre-register; the always-on
-        // per-precision M-class counters of the tally cover them.
         self.obs = Some(DpObs {
             evals: [
                 reg.counter("deepmd.eval.fp64.calls", Unit::Count),
                 reg.counter("deepmd.eval.fp32.calls", Unit::Count),
                 reg.counter("deepmd.eval.fp16.calls", Unit::Count),
             ],
-            gemm: GemmTally::register(reg, &shapes),
+            gemm: GemmTally::register(reg, &[]),
         });
     }
 
@@ -353,122 +202,10 @@ impl DpEngine {
         self.energy_forces(atoms, nl, bx, &mut forces).energy
     }
 
-    /// f32 embedding pass for one atom (Mix32/Mix16), **type-sorted**: the
-    /// environment's same-type entries stack into one augmented GEMM pair
-    /// per layer (value rows `[1, s]`, tangent rows `[0, 1]`, weights
-    /// `[bias ; W]` from [`Emb32::aug`]), dispatched to the process's active
-    /// kernel class — the paper's "sort environment matrices by type so one
-    /// GEMM serves all same-type neighbours". Row independence of every
-    /// kernel class makes the grouping bitwise-invisible, and on the scalar
-    /// class the zero-seeded augmented fold reproduces the historical
-    /// bias-seeded per-entry loop bit for bit. The order-sensitive T
-    /// accumulation then replays in original entry order, unchanged.
-    fn embed_atom32(&self, env: &crate::descriptor::Environment, scratch: &mut EmbScratch) -> AtomEmbed32 {
-        let m1 = self.model.config.m1();
-        let inv_nm = 1.0f32 / self.model.config.nmax as f32;
-        let n = env.entries.len();
-        let mut g = vec![0.0f32; n * m1]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut dg_ds = vec![0.0f32; n * m1]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut t = vec![0.0f32; m1 * 4]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let mut coords = vec![[0.0f32; 4]; n]; // dpmd-allow D5: per-atom result storage, returned in AtomEmbed32
-        let tally = self.obs.as_ref().map(|o| &o.gemm);
-        for (ty, emb_net) in self.emb32.iter().enumerate() {
-            scratch.idx.clear();
-            scratch.idx.extend(
-                env.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.typ as usize == ty)
-                    .map(|(k, _)| k as u32),
-            );
-            let rows = scratch.idx.len();
-            if rows == 0 {
-                continue;
-            }
-            scratch.val.clear();
-            scratch.val.resize(rows * 2, 0.0);
-            scratch.tan.clear();
-            scratch.tan.resize(rows * 2, 0.0);
-            for (r, &k) in scratch.idx.iter().enumerate() {
-                scratch.val[r * 2] = 1.0;
-                scratch.val[r * 2 + 1] = env.entries[k as usize].s as f32;
-                scratch.tan[r * 2 + 1] = 1.0;
-            }
-            for ((_, _, act, resnet, ind, outd), baug) in emb_net.layers.iter().zip(&emb_net.aug) {
-                let (ind, outd) = (*ind, *outd);
-                scratch.pre.clear();
-                scratch.pre.resize(rows * outd, 0.0);
-                scratch.dpre.clear();
-                scratch.dpre.resize(rows * outd, 0.0);
-                gemm::batched_nn_f32(rows, 1, outd, ind + 1, &scratch.val, baug, &mut scratch.pre);
-                gemm::batched_nn_f32(rows, 1, outd, ind + 1, &scratch.tan, baug, &mut scratch.dpre);
-                if let Some(tl) = tally {
-                    tl.record(rows, outd, ind + 1, PrecClass::F32);
-                    tl.record(rows, outd, ind + 1, PrecClass::F32);
-                }
-                scratch.val_next.clear();
-                scratch.val_next.resize(rows * (outd + 1), 0.0);
-                scratch.tan_next.clear();
-                scratch.tan_next.resize(rows * (outd + 1), 0.0);
-                for r in 0..rows {
-                    let prer = &scratch.pre[r * outd..(r + 1) * outd];
-                    let dprer = &scratch.dpre[r * outd..(r + 1) * outd];
-                    let vo = &mut scratch.val_next[r * (outd + 1)..(r + 1) * (outd + 1)];
-                    let to = &mut scratch.tan_next[r * (outd + 1)..(r + 1) * (outd + 1)];
-                    vo[0] = 1.0;
-                    for o in 0..outd {
-                        let (v, dfac) = act.value_grad_f32(prer[o]);
-                        vo[1 + o] = v;
-                        to[1 + o] = (dfac as f32) * dprer[o];
-                    }
-                    let vi = &scratch.val[r * (ind + 1)..(r + 1) * (ind + 1)];
-                    let ti = &scratch.tan[r * (ind + 1)..(r + 1) * (ind + 1)];
-                    match resnet {
-                        Resnet::None => {}
-                        Resnet::Identity => {
-                            for i in 0..ind {
-                                vo[1 + i] += vi[1 + i];
-                                to[1 + i] += ti[1 + i];
-                            }
-                        }
-                        Resnet::Doubling => {
-                            for i in 0..ind {
-                                vo[1 + i] += vi[1 + i];
-                                vo[1 + i + ind] += vi[1 + i];
-                                to[1 + i] += ti[1 + i];
-                                to[1 + i + ind] += ti[1 + i];
-                            }
-                        }
-                    }
-                }
-                std::mem::swap(&mut scratch.val, &mut scratch.val_next);
-                std::mem::swap(&mut scratch.tan, &mut scratch.tan_next);
-            }
-            // Scatter the final rows (stride m1+1; column 0 is the
-            // augmentation) back to entry positions.
-            for (r, &k) in scratch.idx.iter().enumerate() {
-                let (k, off) = (k as usize, r * (m1 + 1) + 1);
-                g[k * m1..(k + 1) * m1].copy_from_slice(&scratch.val[off..off + m1]);
-                dg_ds[k * m1..(k + 1) * m1].copy_from_slice(&scratch.tan[off..off + m1]);
-            }
-        }
-        // T accumulation in entry order (the only order-sensitive reduction).
-        for (k, e) in env.entries.iter().enumerate() {
-            let c64 = e.coords();
-            let c = [c64[0] as f32, c64[1] as f32, c64[2] as f32, c64[3] as f32];
-            coords[k] = c;
-            for m in 0..m1 {
-                let gv = g[k * m1 + m];
-                for (cc, &cv) in c.iter().enumerate() {
-                    t[m * 4 + cc] += gv * cv * inv_nm;
-                }
-            }
-        }
-        AtomEmbed32 { g, dg_ds, t, coords }
-    }
-
-    /// Energy + forces at the engine's precision (forces accumulated f64).
-    /// Runs on [`pool`](Self::pool); records the phase breakdown.
+    /// Energy + forces at the engine's precision (forces accumulated f64):
+    /// a batch of one through
+    /// [`energy_forces_batched`](Self::energy_forces_batched). Runs on
+    /// [`pool`](Self::pool); records the phase breakdown.
     pub fn energy_forces(
         &self,
         atoms: &Atoms,
@@ -476,174 +213,8 @@ impl DpEngine {
         bx: &SimBox,
         forces: &mut [Vec3],
     ) -> PotentialOutput {
-        if let Some(o) = &self.obs {
-            let idx = match self.precision {
-                Precision::Double => 0,
-                Precision::Mix32 => 1,
-                Precision::Mix16 => 2,
-            };
-            o.evals[idx].inc();
-        }
-        if self.precision == Precision::Double {
-            let (out, phases) = self.model.energy_forces_on(self.pool(), atoms, nl, bx, forces);
-            *self.last_phases.lock().unwrap() = Some(phases);
-            return out;
-        }
-        let f16_first = self.precision == Precision::Mix16;
-        let cfg = &self.model.config;
-        let m1 = cfg.m1();
-        let m2 = cfg.m2;
-        let inv_nm = 1.0f32 / cfg.nmax as f32;
-        let pool = self.pool();
-        let mut phases = ForcePhases::default();
-
-        // Pass 1: descriptor.
-        let t0 = wall_now();
-        let envs = build_environments_on(pool, atoms, nl, bx, cfg.rcut_smth, cfg.rcut);
-        phases.descriptor_s = t0.elapsed().as_secs_f64();
-
-        let chunks = atom_chunks(atoms.nlocal);
-
-        // Pass 2: embedding in f32, intermediates stored per atom.
-        let t0 = wall_now();
-        let mut emb_parts: Vec<Vec<AtomEmbed32>> =
-            chunks.iter().map(|c| Vec::with_capacity(c.len())).collect(); // dpmd-allow D5: one buffer per chunk per call, amortized over the chunk
-        {
-            let envs = &envs;
-            pool.scope(|sc| {
-                for (range, part) in chunks.iter().zip(emb_parts.iter_mut()) {
-                    let range = range.clone(); // dpmd-allow D5: Range<usize> clone is a two-word copy, no heap
-                    sc.spawn(move || {
-                        let mut scratch = EmbScratch::default(); // dpmd-allow D5: one scratch per chunk, reused across the chunk's atoms
-                        part.extend(range.map(|i| self.embed_atom32(&envs[i], &mut scratch)));
-                    });
-                }
-            });
-        }
-        let embeds: Vec<AtomEmbed32> = emb_parts.into_iter().flatten().collect(); // dpmd-allow D5: per-call result storage, one entry per atom
-        phases.embedding_s = t0.elapsed().as_secs_f64();
-
-        // Pass 3: fitting + backward, one f64 force buffer per chunk,
-        // merged below in chunk order (deterministic fixed-order reduction).
-        let t0 = wall_now();
-        struct ChunkOut {
-            energy: f64,
-            virial: f64,
-            forces: Vec<Vec3>,
-        }
-        let mut outs: Vec<Option<ChunkOut>> = chunks.iter().map(|_| None).collect(); // dpmd-allow D5: one slot per chunk per call
-        {
-            let (envs, embeds) = (&envs, &embeds);
-            let nall = atoms.len();
-            let tally = self.obs.as_ref().map(|o| &o.gemm);
-            pool.scope(|sc| {
-                for (range, slot) in chunks.iter().zip(outs.iter_mut()) {
-                    let range = range.clone(); // dpmd-allow D5: Range<usize> clone is a two-word copy, no heap
-                    sc.spawn(move || {
-                        let mut buf = vec![Vec3::ZERO; nall]; // dpmd-allow D5: one force buffer per chunk, amortized over the chunk's atoms
-                        // D / dT scratch, reused across the chunk's atoms —
-                        // the inner loop itself never allocates.
-                        let mut d = vec![0.0f32; m1 * m2]; // dpmd-allow D5: per-chunk scratch, reused per atom
-                        let mut dt = vec![0.0f32; m1 * 4]; // dpmd-allow D5: per-chunk scratch, reused per atom
-                        let mut de_dd = Vec::default();
-                        let mut fit_scratch = Fit32Scratch::default();
-                        let mut energy = 0.0f64;
-                        let mut virial = 0.0f64;
-                        for i in range {
-                            let env = &envs[i];
-                            let emb = &embeds[i];
-                            let ti = atoms.typ[i] as usize;
-                            // D in f32 (every element overwritten below —
-                            // no reset needed).
-                            let t = &emb.t;
-                            for a in 0..m1 {
-                                for b in 0..m2 {
-                                    let mut acc = 0.0f32;
-                                    for c in 0..4 {
-                                        acc += t[a * 4 + c] * t[b * 4 + c];
-                                    }
-                                    d[a * m2 + b] = acc;
-                                }
-                            }
-                            let e_fit = self.fit32[ti].energy_and_grad_into(
-                                &d,
-                                f16_first,
-                                tally,
-                                &mut de_dd,
-                                &mut fit_scratch,
-                            );
-                            energy += e_fit as f64 + self.model.energy_bias[ti];
-
-                            // dT (accumulated, so reset per atom).
-                            dt.fill(0.0);
-                            for a in 0..m1 {
-                                for b in 0..m2 {
-                                    let aab = de_dd[a * m2 + b];
-                                    for c in 0..4 {
-                                        dt[a * 4 + c] += aab * t[b * 4 + c];
-                                        dt[b * 4 + c] += aab * t[a * 4 + c];
-                                    }
-                                }
-                            }
-                            // Per-neighbour chain rule; forces in f64.
-                            for (k, e) in env.entries.iter().enumerate() {
-                                let c = emb.coords[k];
-                                let mut de_ds = 0.0f32;
-                                let mut de_drt = [0.0f32; 4];
-                                for m in 0..m1 {
-                                    let mut de_dg = 0.0f32;
-                                    for cc in 0..4 {
-                                        de_dg += dt[m * 4 + cc] * c[cc];
-                                        de_drt[cc] += dt[m * 4 + cc] * emb.g[k * m1 + m];
-                                    }
-                                    de_ds += de_dg * inv_nm * emb.dg_ds[k * m1 + m];
-                                }
-                                for v in &mut de_drt {
-                                    *v *= inv_nm;
-                                }
-                                let grads = e.coord_grads();
-                                let inv_r = 1.0 / e.r;
-                                let dsdd = [
-                                    e.ds_dr * e.disp.x * inv_r,
-                                    e.ds_dr * e.disp.y * inv_r,
-                                    e.ds_dr * e.disp.z * inv_r,
-                                ];
-                                let mut de_dd_vec = Vec3::ZERO;
-                                for axis in 0..3 {
-                                    let mut v = de_ds as f64 * dsdd[axis];
-                                    for cc in 0..4 {
-                                        v += de_drt[cc] as f64 * grads[cc][axis];
-                                    }
-                                    de_dd_vec[axis] = v;
-                                }
-                                let j = e.j as usize;
-                                buf[j] -= de_dd_vec;
-                                buf[i] += de_dd_vec;
-                                virial += de_dd_vec.dot(e.disp);
-                            }
-                        }
-                        *slot = Some(ChunkOut { energy, virial, forces: buf });
-                    });
-                }
-            });
-        }
-        phases.fitting_s = t0.elapsed().as_secs_f64();
-
-        // Deterministic fixed-order reduction: merge in chunk order.
-        let t0 = wall_now();
-        let mut total_e = 0.0f64;
-        let mut virial = 0.0f64;
-        for out in outs.into_iter().flatten() {
-            total_e += out.energy;
-            virial += out.virial;
-            for (f, b) in forces.iter_mut().zip(&out.forces) {
-                *f += *b;
-            }
-        }
-        phases.reduction_s = t0.elapsed().as_secs_f64();
-
-        *self.last_phases.lock().unwrap() = Some(phases);
-        PotentialOutput { energy: total_e, virial: -virial }
+        let mut job = [BatchJob { atoms, nl, bx, forces }];
+        self.energy_forces_batched(&mut job).0[0]
     }
 }
 

@@ -63,9 +63,9 @@ impl Activation {
     /// functions of the activation value itself).
     ///
     /// **Bitwise contract:** returns exactly
-    /// `(self.apply_f32(x), self.derivative(x as f64))` — the batched
+    /// `(self.apply_f32(x), self.derivative(x as f64))` — the stacked
     /// inference path relies on this to halve the transcendental count while
-    /// staying bit-identical to the solo path, and
+    /// staying bit-identical to separate value and derivative calls, and
     /// `tests::fused_value_grad_is_bitwise_identical` enforces it.
     #[inline]
     pub fn value_grad_f32(self, x: f32) -> (f32, f64) {

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use deepmd::batch::{BatchJob, BatchWorkspace};
+use deepmd::batch::BatchJob;
 use deepmd::engine::DpEngine;
 use dpmd_core::EngineParts;
 use dpmd_obs::{Counter, Gauge, Histogram, MetricsRegistry, Unit};
@@ -72,7 +72,6 @@ pub struct ContinuousScheduler {
     /// canonical fused-job order).
     running: Vec<usize>,
     round: u64,
-    workspace: BatchWorkspace,
     obs: Option<ContObs>,
     // Tick scratch, allocated once here and reused every round.
     admit_scratch: Vec<QueueEntry>,
@@ -127,7 +126,6 @@ impl ContinuousScheduler {
             tenants: Vec::new(),
             running: Vec::new(),
             round: 0,
-            workspace: BatchWorkspace::new(),
             obs,
             admit_scratch: Vec::new(),
             toks: Vec::new(),
@@ -324,7 +322,7 @@ impl ContinuousScheduler {
                         BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
                     })
                     .collect(); // dpmd-allow D5: per-round borrow of the newcomers; cannot be stored across rounds
-                self.engine.energy_forces_batched_with(&mut jobs, &mut self.workspace)
+                self.engine.energy_forces_batched(&mut jobs)
             };
             for ((&idx, buf), out) in
                 self.init_scratch.iter().zip(self.force_bufs.drain(..)).zip(outs)
@@ -364,7 +362,7 @@ impl ContinuousScheduler {
                     BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
                 })
                 .collect(); // dpmd-allow D5: per-round borrow of the tenants; cannot be stored across rounds
-            self.engine.energy_forces_batched_with(&mut jobs, &mut self.workspace)
+            self.engine.energy_forces_batched(&mut jobs)
         };
         let t_force_end = dpmd_obs::clock::wall_now();
 

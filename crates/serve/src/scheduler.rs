@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use deepmd::batch::{BatchJob, BatchWorkspace};
+use deepmd::batch::BatchJob;
 use deepmd::engine::DpEngine;
 use dpmd_core::EngineParts;
 use dpmd_obs::{Counter, Histogram, MetricsRegistry, TraceBuffer, Unit};
@@ -77,10 +77,6 @@ pub struct BatchScheduler {
     /// Admission bound per round (backpressure).
     cap: InFlightCap,
     obs: Option<ServeObs>,
-    /// Stacked-buffer reuse across rounds (see
-    /// [`deepmd::batch::BatchWorkspace`]): the fused passes allocate their
-    /// intermediates once, not once per round.
-    workspace: BatchWorkspace,
 }
 
 impl BatchScheduler {
@@ -130,7 +126,6 @@ impl BatchScheduler {
             replicas: reps,
             cap: InFlightCap::All,
             obs: None,
-            workspace: BatchWorkspace::new(),
         };
         if let Some((reg, trace)) = &parts.obs {
             sched.attach_obs(reg, trace);
@@ -243,7 +238,7 @@ impl BatchScheduler {
                         BatchJob { atoms: &sim.atoms, nl: &sim.nl, bx: &sim.bx, forces }
                     })
                     .collect(); // dpmd-allow D5: per-round borrow of the replicas; cannot be stored across rounds
-                self.engine.energy_forces_batched_with(&mut jobs, &mut self.workspace)
+                self.engine.energy_forces_batched(&mut jobs)
             };
             let t_force_end = dpmd_obs::clock::wall_now();
 
@@ -271,9 +266,9 @@ impl BatchScheduler {
         }
     }
 
-    /// Step every replica to its target one at a time through the solo
-    /// engine path — the determinism reference and the bench baseline the
-    /// batched path is compared against.
+    /// Step every replica to its target one at a time, each force
+    /// evaluation a batch of one — the determinism reference and the bench
+    /// baseline the batched path is compared against.
     pub fn run_sequential(&mut self) -> u64 {
         let mut steps = 0u64;
         for r in &mut self.replicas {
